@@ -24,28 +24,8 @@ using testing::CompareRestrictionBackends;
 using testing::CompareTopKBackends;
 using testing::DiffResult;
 
-/// One graph per round, cycling through the three generators so the
-/// sweep covers DAGs, trees, and cyclic digraphs (self-loops included).
 QueryGraph GraphForRound(Rng& rng, int round) {
-  switch (round % 3) {
-    case 0: {
-      testing::RandomDagOptions options;
-      options.layers = 2 + round % 4;
-      options.nodes_per_layer = 3 + round % 5;
-      options.answers = 2 + round % 4;
-      options.edge_density = 0.3 + 0.02 * (round % 15);
-      options.skip_density = 0.1;
-      options.certain_nodes = (round % 6) == 0;
-      return testing::MakeRandomLayeredDag(rng, options);
-    }
-    case 1:
-      return testing::MakeRandomTree(rng, 2 + round % 3, 2 + round % 2,
-                                     (round % 4) == 1);
-    default:
-      return testing::MakeRandomDigraph(rng, 8 + round % 10,
-                                        0.2 + 0.01 * (round % 10),
-                                        2 + round % 3);
-  }
+  return testing::MakeCorpusGraph(rng, round);
 }
 
 TEST(CsrDifferentialTest, ReliabilityMcBitIdentical) {

@@ -102,4 +102,66 @@ QueryGraph MakeRandomDigraph(Rng& rng, int num_nodes, double edge_density,
   return std::move(builder).Build(answers);
 }
 
+QueryGraph MakeCorpusGraph(Rng& rng, int round) {
+  switch (round % 3) {
+    case 0: {
+      RandomDagOptions options;
+      options.layers = 2 + round % 4;
+      options.nodes_per_layer = 3 + round % 5;
+      options.answers = 2 + round % 4;
+      options.edge_density = 0.3 + 0.02 * (round % 15);
+      options.skip_density = 0.1;
+      options.certain_nodes = (round % 6) == 0;
+      return MakeRandomLayeredDag(rng, options);
+    }
+    case 1:
+      return MakeRandomTree(rng, 2 + round % 3, 2 + round % 2,
+                            (round % 4) == 1);
+    default:
+      return MakeRandomDigraph(rng, 8 + round % 10, 0.2 + 0.01 * (round % 10),
+                               2 + round % 3);
+  }
+}
+
+void AddStructuralNoise(Rng& rng, QueryGraph& query_graph) {
+  ProbabilisticEntityGraph& graph = query_graph.graph;
+  const EdgeId edges = graph.edge_capacity();
+  for (EdgeId e = 0; e < edges; ++e) {
+    if (!graph.IsValidEdge(e) || !rng.NextBernoulli(0.2)) continue;
+    const GraphEdge edge = graph.edge(e);
+    graph.AddEdge(edge.from, edge.to, rng.NextUniform(0.2, 1.0)).value();
+  }
+  std::vector<bool> kept(static_cast<size_t>(graph.node_capacity()), false);
+  kept[static_cast<size_t>(query_graph.source)] = true;
+  for (NodeId t : query_graph.answers) kept[static_cast<size_t>(t)] = true;
+  for (NodeId x = 0; x < graph.node_capacity(); ++x) {
+    if (!graph.IsValidNode(x)) continue;
+    if (rng.NextBernoulli(0.1)) {
+      graph.AddEdge(x, x, rng.NextUniform(0.2, 1.0)).value();
+    }
+    if (!kept[static_cast<size_t>(x)] && rng.NextBernoulli(0.05)) {
+      graph.RemoveNode(x);
+    }
+  }
+  for (EdgeId e = 0; e < graph.edge_capacity(); ++e) {
+    if (graph.IsValidEdge(e) && rng.NextBernoulli(0.1)) graph.RemoveEdge(e);
+  }
+}
+
+QueryGraph MakeParallelBridges(int copies, double q) {
+  QueryGraphBuilder builder;
+  const NodeId s = builder.Source();
+  const NodeId u = builder.Node(1.0, "u");
+  for (int i = 0; i < copies; ++i) {
+    const NodeId a = builder.Node(1.0);
+    const NodeId b = builder.Node(1.0);
+    builder.Edge(s, a, q);
+    builder.Edge(s, b, q);
+    builder.Edge(a, b, q);
+    builder.Edge(a, u, q);
+    builder.Edge(b, u, q);
+  }
+  return std::move(builder).Build({u});
+}
+
 }  // namespace biorank::testing

@@ -40,6 +40,22 @@ QueryGraph MakeRandomTree(Rng& rng, int depth, int branching,
 QueryGraph MakeRandomDigraph(Rng& rng, int num_nodes, double edge_density,
                              int num_answers);
 
+/// The differential suites' seeded corpus: graph `round` of a sweep that
+/// cycles through layered DAGs, trees and cyclic digraphs, varying their
+/// shape parameters with the round number.
+QueryGraph MakeCorpusGraph(Rng& rng, int round);
+
+/// Adds the structure the generators above never produce: parallel
+/// duplicates of some edges, self-loops, and tombstoned (removed) edges
+/// and interior nodes. The source and the answers stay alive.
+void AddStructuralNoise(Rng& rng, QueryGraph& query_graph);
+
+/// `copies` identical Wheatstone bridges (Figure 4b, every edge `q`) side
+/// by side between the source and one answer. Its automorphism group has
+/// `copies`! elements, so past four copies the canonical labeling search
+/// exhausts its leaf budget.
+QueryGraph MakeParallelBridges(int copies, double q);
+
 }  // namespace biorank::testing
 
 #endif  // BIORANK_TESTS_TESTING_RANDOM_GRAPHS_H_
