@@ -8,12 +8,12 @@
 #define BIORANK_CORE_CANONICAL_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/csr_snapshot.h"
 #include "core/query_graph.h"
-#include "core/reduction.h"
 #include "util/status.h"
 
 namespace biorank {
@@ -25,27 +25,21 @@ namespace biorank {
 /// identical probabilistic graphs — a cache keyed on `repr` can never
 /// return the reliability of a *different* graph. Isomorphic graphs map
 /// to the same repr whenever the canonical labeling search converges
-/// (always, for graphs within CanonicalizeOptions::max_label_leaves; see
-/// CanonicalizeOptions); a missed identification only costs a cache miss,
-/// never a wrong value.
+/// (always, within the search's leaf budget of 64 candidate labelings;
+/// past it only the first branch per ambiguous class is kept, which stays
+/// deterministic and collision-free). A missed identification only costs
+/// a cache miss, never a wrong value. Reduced evidence graphs are tiny,
+/// so the budget is effectively never reached on real workloads.
 struct CanonicalKey {
   std::string repr;  ///< Canonical serialization; equality = same graph.
   uint64_t hash = 0; ///< FNV-1a of repr: shard selector and MC stream id.
 };
 
-/// Options for canonicalization.
+/// Options for canonicalization. The reduction rules (all of Section
+/// 3.1) and the labeling search's leaf budget are fixed: the canonical
+/// bytes are a cache, snapshot and MC-stream key, so they may not vary
+/// per caller.
 struct CanonicalizeOptions {
-  /// Reduction rules applied to the per-answer subgraph before labeling.
-  ReductionOptions reduction;
-  /// Canonical labeling individualizes one node of the first ambiguous
-  /// color class and recurses; this caps the total number of candidate
-  /// labelings explored. Within the cap the labeling is truly canonical
-  /// (isomorphic graphs collide); beyond it the search keeps only the
-  /// first branch per class — still deterministic and still
-  /// collision-free, but two isomorphic graphs may then receive
-  /// different keys (a cache miss, not a bug). Reduced evidence graphs
-  /// are tiny, so the cap is effectively never hit on real workloads.
-  int max_label_leaves = 64;
   /// Record which original-graph nodes and edges the candidate's
   /// *pre-reduction* restricted subgraph contains (the ingest layer's
   /// dependency index consumes this). Off by default: provenance does not
@@ -77,35 +71,92 @@ struct CanonicalCandidate {
   QueryGraph canonical;
   /// The canonical id of the answer node (== canonical.answers[0]).
   NodeId target = kInvalidNode;
-  /// Counters from the reduction pass.
-  ReductionStats reduction_stats;
   /// Original-graph footprint; populated only when
   /// CanonicalizeOptions::collect_provenance is set.
   CandidateProvenance provenance;
 };
 
-/// Restricts `query_graph` to the evidence subgraph of one answer node
-/// (nodes on some source -> target path), applies the Section 3.1
-/// reductions with only the source and `target` protected, and computes
-/// the canonical form. Fails on invalid query graphs or if `target` is
-/// not one of the answers.
+/// Reusable working memory of one canonicalizing thread. Every array in
+/// it is sized by the largest request graph or answer footprint seen so
+/// far and is never cleared per answer (membership marks are
+/// epoch-stamped), so canonicalizing an answer allocates only its result.
+/// Not thread-safe: one scratch per concurrently running thread.
+class CanonicalScratch {
+ public:
+  CanonicalScratch();
+  ~CanonicalScratch();
+  CanonicalScratch(const CanonicalScratch&) = delete;
+  CanonicalScratch& operator=(const CanonicalScratch&) = delete;
+
+ private:
+  friend class CanonicalRequest;
+  struct Arrays;
+  std::unique_ptr<Arrays> arrays_;
+};
+
+/// One request's canonicalization context: the query graph validated
+/// once, and forward reach from its source computed once over the
+/// request's flat snapshot. Canonicalize() is then the per-answer half,
+/// sized by that answer's footprint rather than by the graph, and may run
+/// concurrently from many threads (each with its own scratch).
 ///
-/// `graph_csr`, when given, must be an unmasked flat snapshot of
-/// `query_graph.graph` (core/csr_snapshot.h); the per-target restriction
-/// traversal then runs over its packed arrays instead of the pointer
-/// adjacency. Callers canonicalizing many targets against one graph (the
-/// serving fan-out, ingest recanonicalization) build the snapshot once
-/// and pass it to every call; the produced candidate is identical either
-/// way.
+/// Per answer t it
+///   1. restricts to the evidence subgraph Reach(source) ∩ CoReach(t)
+///      (plus the source and t): a backward BFS from t pruned to
+///      reach-marked nodes, which visits exactly that set;
+///   2. applies the Section 3.1 reductions with only the source and t
+///      protected (other answers are ordinary interior nodes, which is
+///      what lets distinct tuples share a canonical form);
+///   3. computes the canonical labeling and rebuilds the reduced graph in
+///      canonical order.
+///
+/// The output is byte-identical to RestrictToQueryRelevantSubgraph ->
+/// ReduceQueryGraph -> CanonicalQueryGraphKey on the pointer graph (the
+/// differential suite's reference). The bytes that contract rests on:
+/// nodes are numbered by ascending original id; each node's out-edges
+/// enumerate in ascending original EdgeId with serial-collapse bypass
+/// edges appended in creation order; a parallel merge multiplies
+/// 1 - Π(1 - q) in that out-list order into the first edge; a serial
+/// collapse of x computes q(y,x) * p(x) * q(x,z); collapses run in
+/// ascending node order within each pass; and probabilities are clamped
+/// to [0,1] exactly where ProbabilisticEntityGraph clamps them.
+class CanonicalRequest {
+ public:
+  /// Validates `query_graph` and computes forward reach from its source.
+  /// `graph_csr` must be an unmasked snapshot of `query_graph.graph`
+  /// (core/csr_snapshot.h). Both are borrowed and must outlive the
+  /// request.
+  static Result<CanonicalRequest> Prepare(const QueryGraph& query_graph,
+                                          const CsrSnapshot& graph_csr);
+
+  /// Canonicalizes answer `target`. Fails if `target` is not one of the
+  /// query graph's answers.
+  Result<CanonicalCandidate> Canonicalize(NodeId target,
+                                          const CanonicalizeOptions& options,
+                                          CanonicalScratch& scratch) const;
+
+ private:
+  CanonicalRequest(const QueryGraph& query_graph, const CsrSnapshot& csr)
+      : query_graph_(&query_graph), csr_(&csr) {}
+
+  const QueryGraph* query_graph_;
+  const CsrSnapshot* csr_;
+  uint32_t source_ = kCsrInvalid;  ///< Dense id of the source.
+  /// Per dense node: bit 0 = reachable from the source, bit 1 = answer.
+  std::vector<uint8_t> flags_;
+};
+
+/// Canonicalizes one answer of `query_graph`: a CanonicalRequest over a
+/// fresh snapshot, with a fresh scratch. Callers canonicalizing many
+/// answers of one graph go through CanonicalRequest (or the serving
+/// fan-out, RankingService::CanonicalizeTargets) instead.
 Result<CanonicalCandidate> CanonicalizeCandidate(
     const QueryGraph& query_graph, NodeId target,
-    const CanonicalizeOptions& options = {},
-    const CsrSnapshot* graph_csr = nullptr);
+    const CanonicalizeOptions& options = {});
 
 /// Canonical key of a query graph as-is (no restriction, no reduction).
 /// The graph must validate; all answers are marked with the target role.
-Result<CanonicalKey> CanonicalQueryGraphKey(
-    const QueryGraph& query_graph, const CanonicalizeOptions& options = {});
+Result<CanonicalKey> CanonicalQueryGraphKey(const QueryGraph& query_graph);
 
 /// FNV-1a 64-bit hash, exposed for tests and the cache's shard selector.
 uint64_t Fnv1a64(const std::string& text);

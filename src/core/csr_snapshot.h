@@ -6,7 +6,7 @@
 // supports tombstoned removal, bypass-edge insertion, and per-element
 // probability revision, all of which the Section 3.1 reductions and the
 // delta applier need. But the hot consumers (reliability_mc, topk_mc,
-// diffusion, the query-relevant restriction inside canonicalization)
+// diffusion, the per-answer restriction inside canonicalization)
 // touch every edge up to 1e4 times per query and were walking
 // vector<vector<EdgeId>> adjacency through tombstone filters. This
 // snapshot packs the kept subgraph once into contiguous arrays:
@@ -115,14 +115,11 @@ struct CsrQuerySnapshot {
 /// when QueryGraph::Validate fails.
 Result<CsrQuerySnapshot> BuildCsrQuerySnapshot(const QueryGraph& query_graph);
 
-/// Membership mask (indexed by original NodeId) of the query-relevant
-/// subgraph: Reach(source) ∩ ∪_t CoReach(t), plus the source and every
-/// valid answer — computed by forward/backward BFS over the flat arrays.
-/// `csr` must be an unmasked snapshot of the graph the ids refer to.
-/// Bit-for-bit identical to the mask RestrictToQueryRelevantSubgraph
-/// derives on the pointer graph (asserted by the differential suite).
-std::vector<bool> QueryRelevantMask(const CsrSnapshot& csr, NodeId source,
-                                    const std::vector<NodeId>& answers);
+/// Forward reachability over the flat arrays: entry d is 1 when dense
+/// node d is reachable from dense node `from` (itself included), else 0.
+/// Canonicalization computes this once per request and prunes every
+/// answer's backward BFS to it (core/canonical.h).
+std::vector<uint8_t> ReachableMask(const CsrSnapshot& csr, uint32_t from);
 
 }  // namespace biorank
 

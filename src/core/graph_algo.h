@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "core/csr_snapshot.h"
 #include "core/graph.h"
 #include "core/query_graph.h"
 #include "util/status.h"
@@ -54,27 +53,14 @@ ProbabilisticEntityGraph InducedSubgraph(const ProbabilisticEntityGraph& graph,
 QueryGraph RestrictToQueryRelevantSubgraph(const QueryGraph& query_graph);
 
 /// Same, but restricting to the given answer subset instead of
-/// `query_graph.answers` (the output's answer set is `answers`). Lets
-/// per-candidate callers (core/canonical.h) restrict to one target
-/// without first copying the whole graph just to swap the answer list.
+/// `query_graph.answers` (the output's answer set is `answers`), without
+/// first copying the whole graph just to swap the answer list.
 /// `kept_nodes` (optional out-param) receives the membership mask of the
-/// restriction, indexed by *original* NodeId — the provenance record the
-/// ingest layer's dependency index is built from.
+/// restriction, indexed by *original* NodeId. Restricting to one answer
+/// and reducing the result is the reference that canonicalization's flat
+/// per-answer pipeline (core/canonical.h) is tested against.
 QueryGraph RestrictToQueryRelevantSubgraph(const QueryGraph& query_graph,
                                            const std::vector<NodeId>& answers,
-                                           std::vector<bool>* kept_nodes =
-                                               nullptr);
-
-/// Same restriction, but the membership mask is computed by BFS over a
-/// prebuilt flat snapshot of `query_graph.graph` (core/csr_snapshot.h)
-/// instead of walking the pointer graph's tombstone-filtered adjacency.
-/// `graph_csr` must be an unmasked snapshot of exactly that graph — the
-/// per-candidate fan-out in canonicalization builds it once per request
-/// and reuses it for every target. The produced mask, subgraph, and
-/// answer mapping are identical to the pointer overload's.
-QueryGraph RestrictToQueryRelevantSubgraph(const QueryGraph& query_graph,
-                                           const std::vector<NodeId>& answers,
-                                           const CsrSnapshot& graph_csr,
                                            std::vector<bool>* kept_nodes =
                                                nullptr);
 

@@ -47,7 +47,7 @@ Status UpdateApplier::Recanonicalize(
   }
   std::vector<CanonicalCandidate> fresh;
   BIORANK_RETURN_IF_ERROR(service_->CanonicalizeTargets(
-      graph_, targets, canonicalize_, fresh, &csr_));
+      graph_, targets, canonicalize_, fresh, csr_));
   for (size_t j = 0; j < answer_indices.size(); ++j) {
     int answer = answer_indices[j];
     index_.Register(answer, fresh[j].key, fresh[j].provenance, graph_);

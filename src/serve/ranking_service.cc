@@ -18,6 +18,11 @@ namespace biorank::serve {
 
 namespace {
 
+/// Answers canonicalized per pool shard. An answer takes a few
+/// microseconds, comparable to one shard claim under the pool's lock, so
+/// claiming them one at a time would spend the fan-out on dispatch.
+constexpr size_t kAnswersPerShard = 4;
+
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
@@ -46,6 +51,9 @@ RankingService::RankingService(RankingServiceOptions options)
         "biorank_serve_monte_carlo_total", "Candidates resolved by Monte Carlo");
     metrics_.mc_trials =
         reg.GetCounter("biorank_serve_mc_trials_total", "MC trials spent");
+    metrics_.canonicalize_seconds = reg.GetHistogram(
+        "biorank_serve_canonicalize_seconds",
+        "Canonicalization fan-out latency (restrict, reduce, label)");
     metrics_.bounds_seconds = reg.GetHistogram(
         "biorank_serve_bounds_seconds",
         "Dedup + cache lookup + deterministic bounds phase latency");
@@ -58,7 +66,10 @@ RankingService::RankingService(RankingServiceOptions options)
 Status RankingService::CanonicalizeTargets(
     const QueryGraph& graph, const std::vector<NodeId>& targets,
     const CanonicalizeOptions& canonicalize,
-    std::vector<CanonicalCandidate>& out, const CsrSnapshot* graph_csr) {
+    std::vector<CanonicalCandidate>& out, const CsrSnapshot& graph_csr) {
+  const auto start = std::chrono::steady_clock::now();
+  Result<CanonicalRequest> request = CanonicalRequest::Prepare(graph, graph_csr);
+  if (!request.ok()) return request.status();
   ThreadPool& pool =
       options_.pool != nullptr ? *options_.pool : ThreadPool::Global();
   const int max_parallelism = options_.num_threads == 0
@@ -67,18 +78,47 @@ Status RankingService::CanonicalizeTargets(
   out.clear();
   out.resize(targets.size());
   std::vector<Status> status(targets.size());
+  // Slot s's scratch is touched only by the thread running as slot s.
+  std::vector<std::unique_ptr<CanonicalScratch>> scratch(
+      static_cast<size_t>(pool.slot_count()));
+  const size_t shards =
+      (targets.size() + kAnswersPerShard - 1) / kAnswersPerShard;
   pool.ParallelFor(
-      static_cast<int64_t>(targets.size()),
-      [&](int, int64_t i) {
-        Result<CanonicalCandidate> canonical = CanonicalizeCandidate(
-            graph, targets[static_cast<size_t>(i)], canonicalize, graph_csr);
-        if (canonical.ok()) {
-          out[static_cast<size_t>(i)] = std::move(canonical.value());
-        } else {
-          status[static_cast<size_t>(i)] = canonical.status();
+      static_cast<int64_t>(shards),
+      [&](int slot, int64_t shard) {
+        std::unique_ptr<CanonicalScratch>& mine =
+            scratch[static_cast<size_t>(slot)];
+        if (mine == nullptr) {
+          std::lock_guard<std::mutex> lock(scratch_mu_);
+          if (idle_scratch_.empty()) {
+            mine = std::make_unique<CanonicalScratch>();
+          } else {
+            mine = std::move(idle_scratch_.back());
+            idle_scratch_.pop_back();
+          }
+        }
+        const size_t begin = static_cast<size_t>(shard) * kAnswersPerShard;
+        const size_t end = std::min(targets.size(), begin + kAnswersPerShard);
+        for (size_t i = begin; i < end; ++i) {
+          Result<CanonicalCandidate> canonical = request.value().Canonicalize(
+              targets[i], canonicalize, *mine);
+          if (canonical.ok()) {
+            out[i] = std::move(canonical.value());
+          } else {
+            status[i] = canonical.status();
+          }
         }
       },
       max_parallelism);
+  {
+    std::lock_guard<std::mutex> lock(scratch_mu_);
+    for (std::unique_ptr<CanonicalScratch>& mine : scratch) {
+      if (mine != nullptr) idle_scratch_.push_back(std::move(mine));
+    }
+  }
+  if (metrics_.canonicalize_seconds != nullptr) {
+    metrics_.canonicalize_seconds->Observe(SecondsSince(start));
+  }
   for (const Status& s : status) {
     BIORANK_RETURN_IF_ERROR(s);
   }
@@ -115,7 +155,7 @@ Result<TopKResult> RankingService::RankTopK(const QueryGraph& query_graph,
     const CsrSnapshot request_csr = BuildCsrSnapshot(query_graph.graph);
     BIORANK_RETURN_IF_ERROR(CanonicalizeTargets(query_graph, answers,
                                                 options_.canonicalize,
-                                                canonicals, &request_csr));
+                                                canonicals, request_csr));
     span.Counter("targets", static_cast<int64_t>(answers.size()));
   }
 

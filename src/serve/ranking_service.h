@@ -17,6 +17,8 @@
 #define BIORANK_SERVE_RANKING_SERVICE_H_
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/canonical.h"
@@ -133,8 +135,9 @@ struct RankingServiceOptions {
   bool enable_cache = true;
   /// Metrics sink (obs/metrics.h), borrowed and must outlive the
   /// service. When set, the pipeline records scheduler counters
-  /// (biorank_serve_*_total) and the bounds/MC phase latency histograms
-  /// (biorank_serve_bounds_seconds, biorank_serve_mc_seconds) into it;
+  /// (biorank_serve_*_total) and the canonicalize/bounds/MC phase
+  /// latency histograms (biorank_serve_canonicalize_seconds,
+  /// biorank_serve_bounds_seconds, biorank_serve_mc_seconds) into it;
   /// null (the default) records nothing. api::Server injects its own
   /// registry here; a bare RankingService stays metrics-free.
   obs::Registry* registry = nullptr;
@@ -222,18 +225,20 @@ class RankingService {
   /// Canonicalizes `targets` of `graph` in parallel over the
   /// service-configured pool (pure per target; deterministic at any
   /// thread count), writing `out[i]` for `targets[i]`. RankTopK's phase
-  /// 1 and the ingest applier's dirty-answer re-canonicalization share
-  /// this one fan-out, so pool selection, parallelism caps, and error
-  /// propagation cannot drift apart. `graph_csr`, when non-null, is an
-  /// unmasked flat snapshot of `graph` shared read-only by every target's
-  /// restriction traversal (RankTopK builds one per request; the ingest
-  /// applier maintains one across deltas); null falls back to walking the
-  /// pointer graph per target.
+  /// 1, the anytime prepare and the ingest applier's dirty-answer
+  /// re-canonicalization share this one fan-out, so pool selection,
+  /// parallelism caps, error propagation and the
+  /// biorank_serve_canonicalize_seconds histogram cannot drift apart.
+  /// `graph_csr` is an unmasked flat snapshot of `graph` (RankTopK builds
+  /// one per request; the ingest applier maintains one across deltas).
+  /// The graph is validated and its forward reach computed once; each
+  /// target then runs on a per-thread CanonicalScratch that the service
+  /// keeps for reuse by later calls.
   Status CanonicalizeTargets(const QueryGraph& graph,
                              const std::vector<NodeId>& targets,
                              const CanonicalizeOptions& canonicalize,
                              std::vector<CanonicalCandidate>& out,
-                             const CsrSnapshot* graph_csr = nullptr);
+                             const CsrSnapshot& graph_csr);
 
   // --- Pipeline phases, exposed for the anytime path ------------------
   //
@@ -312,6 +317,7 @@ class RankingService {
     obs::Counter* exact = nullptr;
     obs::Counter* monte_carlo = nullptr;
     obs::Counter* mc_trials = nullptr;
+    obs::Histogram* canonicalize_seconds = nullptr;
     obs::Histogram* bounds_seconds = nullptr;
     obs::Histogram* mc_seconds = nullptr;
   };
@@ -320,6 +326,12 @@ class RankingService {
   ReliabilityCache cache_;
   int64_t mc_trials_ = 0;
   Metrics metrics_;
+
+  /// Idle canonicalization scratch. A CanonicalizeTargets call checks one
+  /// out per pool slot it runs on and returns it afterwards, so
+  /// concurrent calls never share one and the arrays outlive requests.
+  std::mutex scratch_mu_;
+  std::vector<std::unique_ptr<CanonicalScratch>> idle_scratch_;
 };
 
 }  // namespace biorank::serve

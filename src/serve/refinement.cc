@@ -34,7 +34,7 @@ Result<RefinementState> PrepareAnytime(RankingService& service,
   const CsrSnapshot request_csr = BuildCsrSnapshot(graph.graph);
   BIORANK_RETURN_IF_ERROR(service.CanonicalizeTargets(
       graph, targets, service.options().canonicalize, state.canonicals,
-      &request_csr));
+      request_csr));
   std::vector<PreparedCandidate> prepared(targets.size());
   for (size_t i = 0; i < targets.size(); ++i) {
     prepared[i].node = targets[i];

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/canonical.h"
 #include "core/graph_algo.h"
 #include "testing/random_graphs.h"
 #include "util/rng.h"
@@ -268,9 +269,35 @@ TEST(CsrSnapshotTest, KeptMaskMatchesInducedSubgraph) {
     EXPECT_EQ(masked.in_from, reference.in_from);
     EXPECT_EQ(masked.in_q, reference.in_q);
 
-    // The mask itself round-trips through the flat BFS variant.
-    CsrSnapshot full = BuildCsrSnapshot(query.graph);
-    EXPECT_EQ(QueryRelevantMask(full, query.source, query.answers), kept);
+    // The mask is the union of the answers' canonicalization footprints.
+    std::vector<bool> footprints(kept.size(), false);
+    CanonicalizeOptions provenance;
+    provenance.collect_provenance = true;
+    for (NodeId answer : query.answers) {
+      Result<CanonicalCandidate> c =
+          CanonicalizeCandidate(query, answer, provenance);
+      ASSERT_TRUE(c.ok()) << c.status();
+      for (NodeId id : c.value().provenance.nodes) {
+        footprints[static_cast<size_t>(id)] = true;
+      }
+    }
+    EXPECT_EQ(footprints, kept);
+  }
+}
+
+TEST(CsrSnapshotTest, ReachableMaskMatchesPointerReach) {
+  Rng rng(31);
+  for (int round = 0; round < 30; ++round) {
+    QueryGraph query = testing::MakeCorpusGraph(rng, round);
+    testing::AddStructuralNoise(rng, query);
+    CsrSnapshot csr = BuildCsrSnapshot(query.graph);
+    std::vector<uint8_t> mask = ReachableMask(
+        csr, csr.dense_id[static_cast<size_t>(query.source)]);
+    std::vector<bool> reach = ReachableFrom(query.graph, query.source);
+    for (uint32_t d = 0; d < csr.num_nodes(); ++d) {
+      EXPECT_EQ(mask[d] != 0, reach[static_cast<size_t>(csr.orig_id[d])])
+          << "round " << round << ", node " << csr.orig_id[d];
+    }
   }
 }
 

@@ -1,11 +1,12 @@
 #include "testing/differential.h"
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 
 #include "core/canonical.h"
-#include "core/csr_snapshot.h"
 #include "core/graph_algo.h"
+#include "core/reduction.h"
 
 namespace biorank::testing {
 
@@ -143,36 +144,51 @@ DiffResult CompareDiffusionBackends(const QueryGraph& query_graph,
 }
 
 DiffResult CompareRestrictionBackends(const QueryGraph& query_graph) {
-  const CsrSnapshot csr = BuildCsrSnapshot(query_graph.graph);
+  const ProbabilisticEntityGraph& graph = query_graph.graph;
   for (NodeId target : query_graph.answers) {
-    std::vector<bool> kept_ptr, kept_csr;
-    RestrictToQueryRelevantSubgraph(query_graph, {target}, &kept_ptr);
-    RestrictToQueryRelevantSubgraph(query_graph, {target}, csr, &kept_csr);
-    if (kept_ptr != kept_csr) {
-      return Fail("kept masks diverge for target " + std::to_string(target));
+    // Reference: the pointer-graph functions, one step at a time.
+    std::vector<bool> kept;
+    QueryGraph reduced =
+        RestrictToQueryRelevantSubgraph(query_graph, {target}, &kept);
+    CandidateProvenance footprint;
+    for (NodeId id = 0; id < graph.node_capacity(); ++id) {
+      if (!kept[static_cast<size_t>(id)]) continue;
+      footprint.nodes.push_back(id);
+      graph.ForEachOutEdge(id, [&](EdgeId e) {
+        if (kept[static_cast<size_t>(graph.edge(e).to)]) {
+          footprint.edges.push_back(e);
+        }
+      });
     }
+    std::sort(footprint.edges.begin(), footprint.edges.end());
+    ReduceQueryGraph(reduced);
+    Result<CanonicalKey> reference = CanonicalQueryGraphKey(reduced);
 
     CanonicalizeOptions options;
     options.collect_provenance = true;
-    Result<CanonicalCandidate> ptr_cand =
+    Result<CanonicalCandidate> flat =
         CanonicalizeCandidate(query_graph, target, options);
-    Result<CanonicalCandidate> csr_cand =
-        CanonicalizeCandidate(query_graph, target, options, &csr);
-    if (ptr_cand.ok() != csr_cand.ok()) {
-      return Fail("canonicalization status diverges for target " +
-                  std::to_string(target));
+    const std::string where = " for target " + std::to_string(target);
+    if (reference.ok() != flat.ok()) {
+      return Fail("canonicalization status diverges" + where);
     }
-    if (!ptr_cand.ok()) continue;
-    if (ptr_cand.value().key.repr != csr_cand.value().key.repr) {
-      return Fail("canonical keys diverge for target " +
-                  std::to_string(target));
+    if (!flat.ok()) continue;
+    const CanonicalCandidate& c = flat.value();
+    if (c.key.repr != reference.value().repr ||
+        c.key.hash != reference.value().hash) {
+      return Fail("canonical keys diverge" + where + ":\n" + c.key.repr +
+                  "vs reference\n" + reference.value().repr);
     }
-    if (ptr_cand.value().provenance.nodes !=
-            csr_cand.value().provenance.nodes ||
-        ptr_cand.value().provenance.edges !=
-            csr_cand.value().provenance.edges) {
-      return Fail("provenance footprints diverge for target " +
-                  std::to_string(target));
+    if (c.provenance.nodes != footprint.nodes ||
+        c.provenance.edges != footprint.edges) {
+      return Fail("provenance footprints diverge" + where);
+    }
+    // The canonical graph is the key's own graph: re-keying it as-is
+    // (its answers are exactly {target}) reproduces the repr.
+    Result<CanonicalKey> rekeyed = CanonicalQueryGraphKey(c.canonical);
+    if (!rekeyed.ok() || rekeyed.value().repr != c.key.repr ||
+        c.canonical.answers != std::vector<NodeId>{c.target}) {
+      return Fail("canonical graph does not re-key to its key" + where);
     }
   }
   return {};

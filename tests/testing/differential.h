@@ -50,9 +50,12 @@ DiffResult CompareTopKBackends(const QueryGraph& query_graph,
 DiffResult CompareDiffusionBackends(const QueryGraph& query_graph,
                                     const DiffusionOptions& base);
 
-/// Compares the query-relevant restriction of every answer between the
-/// pointer traversal and the CSR-mask overload: kept masks, canonical
-/// keys, and provenance footprints must match exactly.
+/// Compares every answer's canonicalization (the flat per-answer
+/// pipeline of core/canonical.h) against a reference built from the
+/// pointer-graph functions: RestrictToQueryRelevantSubgraph ->
+/// ReduceQueryGraph -> CanonicalQueryGraphKey. Keys (repr and hash) and
+/// provenance footprints must match exactly, and the canonical graph
+/// must re-key to its own key.
 DiffResult CompareRestrictionBackends(const QueryGraph& query_graph);
 
 }  // namespace biorank::testing
