@@ -258,6 +258,12 @@ struct LabelGraph {
     int32_t from = 0;
     int32_t to = 0;
     uint64_t q_bits = 0;
+    /// The serialization order of edges.
+    bool operator<(const Edge& o) const {
+      if (from != o.from) return from < o.from;
+      if (to != o.to) return to < o.to;
+      return q_bits < o.q_bits;
+    }
   };
   std::vector<Edge> edges;
   std::vector<int32_t> out_offset, out_edge, in_offset, in_edge;
@@ -305,17 +311,7 @@ struct Labeler {
   std::vector<int32_t> order;
   std::vector<int32_t> position;
   std::vector<int32_t> best_position;
-  struct EdgeTuple {
-    int32_t from;
-    int32_t to;
-    uint64_t q_bits;
-    bool operator<(const EdgeTuple& o) const {
-      if (from != o.from) return from < o.from;
-      if (to != o.to) return to < o.to;
-      return q_bits < o.q_bits;
-    }
-  };
-  std::vector<EdgeTuple> tuples;
+  std::vector<LabelGraph::Edge> tuples;  ///< Edges renumbered by position.
   std::string repr;
   std::string best;
   int leaves_left = 0;
@@ -436,7 +432,7 @@ void SerializeOrdered(const LabelGraph& g, const uint64_t* colors,
     out += '\n';
   }
   SortedTuples(g, l.position, l);
-  for (const Labeler::EdgeTuple& t : l.tuples) {
+  for (const LabelGraph::Edge& t : l.tuples) {
     out += "e ";
     AppendInt(out, t.from);
     out += ' ';
@@ -703,7 +699,7 @@ Result<CanonicalCandidate> CanonicalRequest::Canonicalize(
     if (label.role[node] & kRoleTarget) out.canonical.answers.push_back(id);
   }
   SortedTuples(label, l.best_position, l);
-  for (const Labeler::EdgeTuple& e : l.tuples) {
+  for (const LabelGraph::Edge& e : l.tuples) {
     out.canonical.graph.AddEdge(e.from, e.to, BitsDouble(e.q_bits)).value();
   }
   out.target = out.canonical.answers[0];
